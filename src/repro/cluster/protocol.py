@@ -49,6 +49,9 @@ OP_CLUSTER_METRICS = "cluster-metrics"
 #: machine-readable reason code a worker attaches when asked to evaluate a
 #: fingerprint it has no matrix for (the router re-uploads and resends)
 CODE_UNKNOWN_FINGERPRINT = "unknown-fingerprint"
+#: reason code for an upload whose content does not hash to the fingerprint
+#: it announced (the matrix is not cached; the link stays up)
+CODE_BAD_FINGERPRINT = "bad-fingerprint"
 
 
 def send_msg(sock: socket.socket, obj) -> None:

@@ -5,8 +5,9 @@ Each shard is one OS process (its own GIL, its own
 :class:`WorkerHost`: an accept loop whose per-connection handler decodes
 length-prefixed messages and dispatches them —
 
-* ``upload``   — cache a matrix under its content fingerprint (bounded
-  LRU of matrices; the engine's own plan/artifact LRUs hang off it);
+* ``upload``   — pin a matrix and cache it under its content fingerprint
+  (bounded LRU of matrices; the engine's own plan/artifact LRUs hang off
+  it); content that does not hash to it is refused (``bad-fingerprint``);
 * ``eval``     — build a :class:`~repro.serve.request.ServeRequest` against
   the cached matrix and submit it to the embedded micro-batching server;
   the response is written back asynchronously when the serve future
@@ -39,9 +40,9 @@ from dataclasses import dataclass
 from ..core.engine import PatternEngine
 from ..serve.request import ServeRequest
 from ..serve.server import PatternServer, ServerConfig
-from .protocol import (CODE_UNKNOWN_FINGERPRINT, OP_DRAIN, OP_EVAL,
-                       OP_METRICS, OP_OK, OP_PING, OP_PONG, OP_RESULT,
-                       OP_UPLOAD, recv_msg, send_msg)
+from .protocol import (CODE_BAD_FINGERPRINT, CODE_UNKNOWN_FINGERPRINT,
+                       OP_DRAIN, OP_EVAL, OP_METRICS, OP_OK, OP_PING,
+                       OP_PONG, OP_RESULT, OP_UPLOAD, recv_msg, send_msg)
 
 
 @dataclass
@@ -93,14 +94,26 @@ class WorkerHost:
 
     # ------------------------------------------------------------ matrix cache
     def cache_matrix(self, fingerprint: str, matrix) -> None:
+        """Pin ``matrix`` (its one content hash) and cache it; raises
+        ``ValueError`` if it does not hash to ``fingerprint``.  A cached
+        fingerprint keeps its pinned object: no re-hash, no orphan pin."""
+        if self.lookup_matrix(fingerprint) is not None:
+            return
+        actual = self.engine.pin(matrix)
+        if actual != fingerprint:
+            self.engine.unpin(matrix)
+            raise ValueError(f"upload content hashes to {actual}, "
+                             f"not the announced {fingerprint}")
         evicted = []
         with self._matrices_lock:
-            self._matrices[fingerprint] = matrix
+            kept = self._matrices.setdefault(fingerprint, matrix)
             self._matrices.move_to_end(fingerprint)
             cap = self.config.max_matrices
             while cap and len(self._matrices) > cap:
                 evicted.append(self._matrices.popitem(last=False)[1])
-        for X in evicted:        # drop the engine's derived state with it
+        if kept is not matrix:   # a concurrent upload of the same content won
+            self.engine.unpin(matrix)
+        for X in evicted:        # drop the engine's derived state (and pin)
             self.engine.invalidate(X)
 
     def lookup_matrix(self, fingerprint: str):
@@ -149,8 +162,12 @@ class WorkerHost:
         if op == OP_EVAL:
             self._handle_eval(msg, rid, out)
         elif op == OP_UPLOAD:
-            self.cache_matrix(msg["fingerprint"], msg["matrix"])
-            out.put({"op": OP_OK, "rid": rid})
+            try:
+                self.cache_matrix(msg.get("fingerprint"), msg.get("matrix"))
+                out.put({"op": OP_OK, "rid": rid})
+            except (TypeError, ValueError) as exc:   # unhashable or mismatch
+                out.put({"op": OP_RESULT, "rid": rid, "status": "error",
+                         "code": CODE_BAD_FINGERPRINT, "reason": str(exc)})
         elif op == OP_PING:
             out.put({"op": OP_PONG, "rid": rid,
                      "shard": self.config.shard_id,

@@ -359,7 +359,8 @@ class PatternEngine:
         """
         from ..systemml.fusion import fingerprint_dag, optimize
 
-        dag_fp = fingerprint_dag(root, env, self._device_fp)
+        dag_fp = fingerprint_dag(root, env, self._device_fp,
+                                 self.fingerprint)
         akey = (dag_fp, self._device_fp, "fusion-plan")
         with self._lock:
             art = self._artifacts.get(akey)
@@ -413,8 +414,8 @@ class PatternEngine:
         Also releases any pin on ``X`` (restoring writability), so
         ``invalidate`` doubles as "I am about to mutate this matrix".
         """
+        fp = self._pinned_fp(X) or fingerprint_matrix(X)
         self.unpin(X)
-        fp = fingerprint_matrix(X)
         removed = 0
         with self._lock:
             for key in [k for k in self._plans if k[0] == fp]:
@@ -478,23 +479,31 @@ class PatternEngine:
             return (X.values, X.col_idx, X.row_off)
         return (np.asarray(X),)
 
-    def _fingerprint(self, X: CsrMatrix | np.ndarray) -> tuple[str, bool]:
+    def fingerprint(self, X: CsrMatrix | np.ndarray) -> str:
         """Content fingerprint; memoized (no hashing) for pinned matrices.
 
-        Returns ``(fingerprint, was_pinned)``.  The memo is honoured only
-        while the pin is intact: same object, same backing arrays, still
-        read-only.  Anything else — including a rebind of ``X.values`` to a
-        fresh writable array — falls back to full hashing.
+        The memo is honoured only while the pin is intact: same object,
+        same backing arrays, still read-only.  Anything else — including a
+        rebind of ``X.values`` to a fresh writable array — hashes.
         """
+        fp = self._pinned_fp(X, count=True)
+        return fingerprint_matrix(X) if fp is None else fp
+
+    def _pinned_fp(self, X: CsrMatrix | np.ndarray,
+                   count: bool = False) -> str | None:
+        """The memoized fingerprint of an intact pin on ``X``, else None
+        (a broken pin is dropped, thawing its arrays)."""
         with self._lock:
             entry = self._pinned.get(id(X))
-            if entry is not None:
-                ref, fp, arrays = entry
-                if ref() is X and self._pin_intact(X, arrays):
+            if entry is None:
+                return None
+            ref, fp, arrays = entry
+            if ref() is X and self._pin_intact(X, arrays):
+                if count:
                     self._stats.pinned_fingerprint_hits += 1
-                    return fp, True
-                self._pinned.pop(id(X), None)
-        return fingerprint_matrix(X), False
+                return fp
+        self.unpin(X)
+        return None
 
     @staticmethod
     def _pin_intact(X: CsrMatrix | np.ndarray, arrays: tuple) -> bool:
@@ -515,12 +524,8 @@ class PatternEngine:
         """
         if not (self.compile_kernels and isinstance(X, CsrMatrix)):
             return None
-        with self._lock:
-            entry = self._pinned.get(id(X))
-        if entry is None:
-            return None
-        ref, fp, arrays = entry
-        if ref() is not X or not self._pin_intact(X, arrays):
+        fp = self._pinned_fp(X)
+        if fp is None:
             return None
         akey = (fp, self._device_fp, "compiled:sparse")
         with self._lock:
@@ -559,8 +564,9 @@ class PatternEngine:
     def _evaluate_traced(self, p: GenericPattern, strategy: str,
                          span) -> tuple[KernelResult, bool]:
         with trace.span("fingerprint", "engine") as fsp:
-            mat_fp, pinned = self._fingerprint(p.X)
-            fsp.set("pinned", pinned)
+            pinned_fp = self._pinned_fp(p.X, count=True)
+            fsp.set("pinned", pinned_fp is not None)
+            mat_fp = pinned_fp or fingerprint_matrix(p.X)
         key = self._plan_key(p, mat_fp, strategy)
         with self._lock:
             entry = self._plans.get(key)

@@ -232,9 +232,3 @@ class CacheModel:
     def texture_hit_ratio(self) -> float:
         """Hit ratio for a read-only vector bound to texture memory."""
         return self.device.texture_hit_ratio if self.enabled else 0.0
-
-
-def streamed_array_transactions(shape_bytes: float,
-                                transaction_bytes: int = 128) -> float:
-    """Alias for :func:`coalesced_transactions` with a clearer call-site name."""
-    return coalesced_transactions(shape_bytes, transaction_bytes)

@@ -171,14 +171,6 @@ def ensure_cellwise_kernel(n: int, vs: int, tl: int,
     return fn, True
 
 
-def cellwise_cache_size() -> int:
-    return len(_CELLWISE_CACHE)
-
-
-def clear_cellwise_cache() -> None:
-    _CELLWISE_CACHE.clear()
-
-
 # --------------------------------------------------------------------------
 # Sparse fused family (ahead-of-time, structure-specialized)
 # --------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.engine import PatternRequest, fingerprint_matrix
+from ..core.engine import PatternRequest
 from ..core.pattern import GenericPattern
 from ..kernels.base import KernelResult
 from ..sparse.csr import CsrMatrix
@@ -64,11 +64,6 @@ class ServeRequest:
         return GenericPattern(self.X, self.y, v=self.v, z=self.z,
                               alpha=self.alpha, beta=self.beta,
                               inner=self.inner)
-
-    def group_key(self) -> tuple[str, str]:
-        """Micro-batching key: requests sharing it reuse one cached
-        profile/plan/transpose when evaluated back to back."""
-        return (fingerprint_matrix(self.X), self.strategy)
 
 
 @dataclass

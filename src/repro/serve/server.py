@@ -182,7 +182,8 @@ class PatternServer:
         with trace.span("admission", "serve") as sp:
             request.validate()
             rid = self._new_id()
-            key = request.group_key()
+            # batch key; read from the pin memo when the matrix is pinned
+            key = (self.engine.fingerprint(request.X), request.strategy)
             spec = resolve_tier(request.tier, self._tiers)
             slo_ms = request.slo_ms
             if slo_ms is None:

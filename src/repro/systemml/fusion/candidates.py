@@ -59,9 +59,6 @@ class Candidate:
         if not self.member_ids:
             self.member_ids = frozenset(id(m) for m in self.members)
 
-    def conflicts_with(self, other: "Candidate") -> bool:
-        return bool(self.member_ids & other.member_ids)
-
 
 def enumerate_candidates(index: DagIndex,
                          shapes: dict[int, tuple]) -> list[Candidate]:

@@ -26,13 +26,6 @@ class DagIndex:
     nodes: list[Node]                      # topological, children first
     parents: dict[int, list[Node]]         # id(node) -> consumer nodes
 
-    def parent_ids(self, node: Node) -> list[int]:
-        return [id(p) for p in self.parents.get(id(node), [])]
-
-    def is_shared(self, node: Node) -> bool:
-        """More than one consumer edge (diamond sharing)."""
-        return len(self.parents.get(id(node), [])) > 1
-
 
 def index_dag(root: Node) -> DagIndex:
     """Build the consumer-edge index; each unique node appears once."""

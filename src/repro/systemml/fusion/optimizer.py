@@ -20,6 +20,7 @@ misses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from ...kernels.base import DEFAULT_CONTEXT, GpuContext
 from ..dag import (Add, EwMul, FusedPattern, Input, MatVec, Node, Smul,
@@ -71,17 +72,20 @@ class FusionPlan:
         }
 
 
-def fingerprint_dag(root: Node, env: dict, device_fp: str = "") -> str:
+def fingerprint_dag(root: Node, env: dict, device_fp: str = "",
+                    fingerprint: Callable[[Any], str] | None = None) -> str:
     """Stable key for plan caching.
 
     Covers DAG topology (with sharing markers), operator parameters,
     matrix content fingerprints, and vector lengths — NOT vector values,
-    so iterative solvers reuse one plan across iterations.
+    so iterative solvers reuse one plan across iterations.  Matrices go
+    through ``fingerprint`` (an engine passes its pin-memo lookup).
     """
     import hashlib
 
     from ...core.engine import fingerprint_matrix
 
+    fp_of = fingerprint or fingerprint_matrix
     seen: dict[int, int] = {}
     parts: list[str] = [device_fp]
 
@@ -95,12 +99,12 @@ def fingerprint_dag(root: Node, env: dict, device_fp: str = "") -> str:
                 return f"in({nd.name})"
             from ...sparse.csr import CsrMatrix
             if isinstance(val, CsrMatrix):
-                return f"in({nd.name},{fingerprint_matrix(val)})"
+                return f"in({nd.name},{fp_of(val)})"
             import numpy as np
             arr = np.asarray(val)
             if arr.ndim == 1:              # vectors: length only, so an
                 return f"in({nd.name},vec{arr.shape[0]})"  # iterative solver
-            return f"in({nd.name},{fingerprint_matrix(arr)})"  # hits warm
+            return f"in({nd.name},{fp_of(arr)})"  # hits warm
         if isinstance(nd, Transpose):
             return f"t({walk(nd.child)})"
         if isinstance(nd, MatVec):
@@ -196,7 +200,8 @@ def optimize(root: Node, env: dict,
 
     device_fp = getattr(engine, "_device_fp", "")
     return FusionPlan(
-        fingerprint=fingerprint_dag(root, env, device_fp),
+        fingerprint=fingerprint_dag(root, env, device_fp,
+                                    getattr(engine, "fingerprint", None)),
         expression=expression or repr(root),
         node_count=len(index.nodes),
         search=search,

@@ -29,10 +29,6 @@ class PlacementDecision:
     def gpu_total_ms(self) -> float:
         return self.gpu_kernel_ms + self.transfer_ms
 
-    @property
-    def chosen_ms(self) -> float:
-        return self.gpu_total_ms if self.target == "gpu" else self.cpu_ms
-
 
 @dataclass
 class HybridScheduler:

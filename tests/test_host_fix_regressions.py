@@ -13,7 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core.engine import PatternEngine
+from repro.core.engine import PatternEngine, fingerprint_matrix
 from repro.serve import (STATUS_OK, STATUS_REJECTED, PatternServer,
                          ServeRequest)
 from repro.sparse import random_csr
@@ -31,8 +31,7 @@ class TestPinnedFingerprint:
         engine = PatternEngine()
         X = random_csr(40, 10, 0.3, rng=1)
         fp = engine.pin(X)
-        got, pinned = engine._fingerprint(X)
-        assert (got, pinned) == (fp, True)
+        assert engine.fingerprint(X) == fp
         assert engine.stats().pinned_fingerprint_hits == 1
 
     def test_rebound_array_falls_back_to_hashing(self):
@@ -43,23 +42,24 @@ class TestPinnedFingerprint:
         engine.pin(X)
         X.values = X.values.copy()
         X.values[0] += 1.0
-        got, pinned = engine._fingerprint(X)
-        assert not pinned
-        assert got != engine._fingerprint(random_csr(40, 10, 0.3, rng=2))[0]
+        got = engine.fingerprint(X)
+        assert engine.stats().pinned_fingerprint_hits == 0
+        assert got == fingerprint_matrix(X)
+        assert got != engine.fingerprint(random_csr(40, 10, 0.3, rng=2))
 
     def test_concurrent_pinned_lookups_count_exactly(self):
         # the whole check-ref-count-pop sequence now sits in one critical
         # section, so N racing lookups record exactly N hits
         engine = PatternEngine()
         X = random_csr(40, 10, 0.3, rng=1)
-        engine.pin(X)
+        fp = engine.pin(X)
         n, workers = 25, 8
         barrier = threading.Barrier(workers)
 
         def spin():
             barrier.wait()
             for _ in range(n):
-                assert engine._fingerprint(X)[1]
+                assert engine.fingerprint(X) == fp
 
         threads = [threading.Thread(target=spin) for _ in range(workers)]
         for t in threads:
@@ -73,7 +73,6 @@ class TestTransposeKeepFirst:
     def test_losing_builder_returns_winner_artifact(self):
         engine = PatternEngine()
         X = random_csr(50, 12, 0.3, rng=3)
-        from repro.core.engine import fingerprint_matrix
         fp = fingerprint_matrix(X)
         XT1, _, warm = engine._transpose_for(X, fp)
         assert not warm
